@@ -13,8 +13,8 @@
 
    The invariants mirrored from the interpreter:
 
-   - errors raised while speculating become {!Spec_fail}, never user-visible
-     parse errors;
+   - errors raised while speculating become {!Token_stream.Spec_fail},
+     never user-visible parse errors;
    - a prediction failure reports the token that killed the DFA, [depth+1]
      tokens ahead (paper section 4.4);
    - rule results are memoized only while speculating (section 6.2), keyed
@@ -22,53 +22,32 @@
    - speculation rewinds the stream but keeps the high-water mark, so
      profiled lookahead depths include speculative reach. *)
 
-type memo_entry = Failed | Succeeded of int (* stop index *)
-
 type st = {
   ts : Token_stream.t;
   env : Interp.env;
   profile : Profile.t option;
-  memo_enabled : bool;
-  mutable memo : (int, memo_entry) Hashtbl.t option;
-      (* keyed by packed (rule, prec, pos); created on first speculative
-         use so parses that never speculate pay nothing for memoization *)
+  memo : Memo.t option; (* [None]: the grammar does not memoize *)
   mutable speculating : int;
 }
 
-exception Spec_fail
-(* Internal: a speculative parse failed to match.  Never escapes [speculate]. *)
-
-(* [make_of_stream] accepts any stream, including a streaming window
-   ({!Token_stream.of_pull}); emitted parsers handle both through the same
-   inlined fast path (a bounds check against the filled prefix, with an
-   out-of-line [Ts.la_far] continuation that pulls more input). *)
-let make_of_stream ?(env = Interp.default_env) ?profile ~(memoize : bool)
+(* Emitted parsers handle any stream through the same inlined fast path: a
+   bounds check against the filled prefix, with an out-of-line [Ts.la_far]
+   continuation that pulls more input. *)
+let make ?(env = Interp.default_env) ?profile ~(memoize : bool)
     (ts : Token_stream.t) : st =
-  { ts; env; profile; memo_enabled = memoize; memo = None; speculating = 0 }
-
-let make ?env ?profile ~(memoize : bool) (toks : Token.t array) : st =
-  make_of_stream ?env ?profile ~memoize (Token_stream.of_array toks)
-
-(* Reset a parser state for the next request's tokens.  The memo table is
-   keyed by (rule, precedence, position) only -- NOT by token content -- so
-   an entry from a previous input is indistinguishable from a hit on the
-   current one: reusing a state without clearing it lets one request's
-   speculation outcomes decide another request's parse (accepting or
-   rejecting inputs it never examined).  [Hashtbl.reset] keeps the table's
-   backing array, so a long-lived server thread that reuses one [st] pays
-   no re-growth cost; [speculating] is forced back to 0 so an exception
-   that escaped a previous parse cannot leave the next one permanently
-   "speculating" (every error would become a silent [Spec_fail]). *)
-let reset (st : st) (toks : Token.t array) : unit =
-  Token_stream.load st.ts toks;
-  st.speculating <- 0;
-  match st.memo with Some tbl -> Hashtbl.reset tbl | None -> ()
+  {
+    ts;
+    env;
+    profile;
+    memo = (if memoize then Some (Memo.create ts) else None);
+    speculating = 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Errors.  While speculating, every failure is a [Spec_fail]. *)
 
 let error st kind rule =
-  if st.speculating > 0 then raise Spec_fail
+  if st.speculating > 0 then raise Token_stream.Spec_fail
   else
     raise
       (Parse_error.Error
@@ -88,7 +67,8 @@ let no_viable st ~decision ~depth ~rule : 'a =
     Parse_error.
       { kind = No_viable_alt { decision; depth = depth + 1 }; token = tok; rule }
   in
-  if st.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
+  if st.speculating > 0 then raise Token_stream.Spec_fail
+  else raise (Parse_error.Error e)
 
 (* A loop decision made no progress and has no exit alternative. *)
 let stuck_fail st ~decision ~rule : 'a =
@@ -133,20 +113,10 @@ let stuck st (last_pos : int ref) (seen : int list ref) ~(d : int) : bool =
    recognizer, rewind, and report success plus the lookahead reach. *)
 
 let speculate st (run : unit -> unit) : bool * int =
-  let start = Token_stream.mark st.ts in
-  let saved_hw = Token_stream.high_water st.ts in
-  (* [start - 1]: the speculation has examined nothing yet, so an empty
-     synpred fragment reports a reach of 0, not 1 *)
-  Token_stream.set_high_water st.ts (start - 1);
   st.speculating <- st.speculating + 1;
-  let ok = match run () with () -> true | exception Spec_fail -> false in
+  let r = Token_stream.speculate st.ts run in
   st.speculating <- st.speculating - 1;
-  let reach = max 0 (Token_stream.high_water st.ts - start + 1) in
-  Token_stream.seek st.ts start;
-  Token_stream.release st.ts start;
-  Token_stream.set_high_water st.ts
-    (max saved_hw (Token_stream.high_water st.ts));
-  (ok, reach)
+  r
 
 (* Synpred gate on an alternative's left edge (re-evaluated only when the
    surrounding decision did not just select this alternative). *)
@@ -179,46 +149,13 @@ let record st ~decision ~depth ~backtracked ~spec_depth : unit =
 (* ------------------------------------------------------------------ *)
 (* Memoization, only while speculating (paper section 6.2). *)
 
-(* Memo key packing: position in bits 0..29, precedence bound in bits
-   30..44, rule id in bits 45..61.  The bounds are far beyond anything a
-   real grammar produces (2^30 tokens, prec < 2^15, 2^17 rules); an int
-   key keeps the speculation-time lookup allocation-free, and the
-   position in the low bits makes windowed eviction a cheap range test
-   ({!Interp.memo_key} uses the same packing). *)
-let memo_key ~(rule : int) ~(prec : int) ~(pos : int) : int =
-  (((rule lsl 15) lor prec) lsl 30) lor pos
-
-let memo_table st : (int, memo_entry) Hashtbl.t =
-  match st.memo with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 256 in
-      (* Windowed eviction: entries behind the stream's release frontier
-         key positions the stream can no longer rewind to, so they can
-         never be hit again -- drop them whenever the window slides. *)
-      if Token_stream.is_streaming st.ts then
-        Token_stream.set_release_hook st.ts (Interp.evict_memo_before tbl);
-      st.memo <- Some tbl;
-      tbl
-
 let memoized st ~(rule : int) ~(prec : int) (body : unit -> unit) : unit =
-  if st.memo_enabled && st.speculating > 0 then begin
-      let tbl = memo_table st in
-      let key = memo_key ~rule ~prec ~pos:(Token_stream.index st.ts) in
-      match Hashtbl.find_opt tbl key with
-      | Some Failed -> raise Spec_fail
-      | Some (Succeeded stop) ->
-          (* valid because speculation builds no tree and runs no actions *)
-          Token_stream.seek st.ts stop
-      | None -> (
-          match body () with
-          | () ->
-              Hashtbl.replace tbl key (Succeeded (Token_stream.index st.ts))
-          | exception Spec_fail ->
-              Hashtbl.replace tbl key Failed;
-              raise Spec_fail)
-    end
-  else body ()
+  match st.memo with
+  | Some m when st.speculating > 0 ->
+      Memo.memoized m
+        (Memo.key ~rule ~prec ~pos:(Token_stream.index st.ts))
+        body
+  | _ -> body ()
 
 (* ------------------------------------------------------------------ *)
 (* Table-driven prediction: the fallback for decisions too large to compile
@@ -288,12 +225,15 @@ type outcome = {
   consumed : int; (* tokens consumed when the parse stopped *)
 }
 
-(* Run an entry point against an existing state (the state-reuse path: the
-   caller is responsible for [reset]ting [st] between inputs). *)
-let run_st (st : st) ~(start_rule : int) (entry : st -> unit) : outcome =
+(* Run an emitted parser's entry point over a stream.  [consumed] is an
+   absolute token index, so outcomes over a window compare [agree]-equal
+   with outcomes over the whole array. *)
+let run_recognizer ?(env = Interp.default_env) ?profile ~(memoize : bool)
+    ~(start_rule : int) (entry : st -> unit) (ts : Token_stream.t) : outcome =
+  let st = make ~env ?profile ~memoize ts in
   match entry st with
   | () ->
-      if Token_stream.la st.ts 1 <> Grammar.Sym.eof then
+      if Token_stream.la ts 1 <> Grammar.Sym.eof then
         {
           ok = false;
           error =
@@ -301,31 +241,14 @@ let run_st (st : st) ~(start_rule : int) (entry : st -> unit) : outcome =
               Parse_error.
                 {
                   kind = Extraneous_input;
-                  token = Token_stream.lt st.ts 1;
+                  token = Token_stream.lt ts 1;
                   rule = start_rule;
                 };
-          consumed = Token_stream.index st.ts;
+          consumed = Token_stream.index ts;
         }
-      else { ok = true; error = None; consumed = Token_stream.index st.ts }
+      else { ok = true; error = None; consumed = Token_stream.index ts }
   | exception Parse_error.Error e ->
-      { ok = false; error = Some e; consumed = Token_stream.index st.ts }
-
-let run_recognizer ?(env = Interp.default_env) ?profile ~(memoize : bool)
-    ~(start_rule : int) (entry : st -> unit) (toks : Token.t array) : outcome
-    =
-  run_st (make ~env ?profile ~memoize toks) ~start_rule entry
-
-(* Streaming counterpart: run an emitted parser over a stream (typically a
-   {!Token_stream.of_pull} window fed by the chunked lexer).  [consumed]
-   stays an absolute token index, so outcomes compare [agree]-equal with
-   the materialized path's. *)
-let run_recognizer_stream ?(env = Interp.default_env) ?profile
-    ~(memoize : bool) ~(start_rule : int) (entry : st -> unit)
-    (ts : Token_stream.t) : outcome =
-  run_st (make_of_stream ~env ?profile ~memoize ts) ~start_rule entry
-
-let to_result (o : outcome) : (unit, Parse_error.t list) result =
-  match o.error with None -> Ok () | Some e -> Error [ e ]
+      { ok = false; error = Some e; consumed = Token_stream.index ts }
 
 (* The interpreter's view of the same observables, for cross-checking.
    [?tracer] flows into the interpreter so per-request trace capture (the
@@ -334,7 +257,7 @@ let to_result (o : outcome) : (unit, Parse_error.t list) result =
    and handler events only. *)
 let interp_outcome_stream ?env ?profile ?tracer ?start
     (c : Llstar.Compiled.t) (ts : Token_stream.t) : outcome =
-  let t = Interp.create_from_stream ?env ?profile ?tracer c ts in
+  let t = Interp.create ?env ?profile ?tracer c ts in
   let res = Interp.recognize_run t ?start () in
   let consumed = Token_stream.index t.Interp.ts in
   match res with
@@ -383,17 +306,12 @@ module type PARSER = sig
   val outcome :
     ?env:Interp.env -> ?profile:Profile.t -> Token.t array -> outcome
 
+  (** [outcome_stream] over {!Token_stream.of_array}. *)
+
   val outcome_stream :
     ?env:Interp.env -> ?profile:Profile.t -> Token_stream.t -> outcome
   (** Run over a stream (typically a [Token_stream.of_pull] window fed by
-      the chunked lexer) in O(window) live memory; same observables as
-      {!outcome} on the same token sequence. *)
-
-  val recognize :
-    ?env:Interp.env ->
-    ?profile:Profile.t ->
-    Token.t array ->
-    (unit, Parse_error.t list) result
+      the chunked lexer) in O(window) live memory. *)
 end
 
 (* Reconstruct the vocabulary a generated parser was emitted against from

@@ -54,34 +54,10 @@ let env_of_tables ?(preds = []) ?(actions = []) () =
         | None -> ());
   }
 
-exception Spec_fail
-(* Internal: a speculative parse failed to match.  Never escapes. *)
-
 (* Diagnostic tracing (also enabled by the ANTLRKIT_TRACE environment
    variable): prints rule entries, predictions and failures, including those
    inside speculation, to stderr. *)
 let trace = ref (Sys.getenv_opt "ANTLRKIT_TRACE" <> None)
-
-type memo_entry = Failed | Succeeded of int (* stop index *)
-
-(* Memo key packing, shared with {!Generated}: position in bits 0..29,
-   precedence bound in bits 30..44, rule id in bits 45..61.  An int key
-   keeps speculation-time lookups allocation-free, and -- with the
-   position in the low bits -- makes windowed eviction a cheap range test
-   per entry. *)
-let memo_key ~(rule : int) ~(prec : int) ~(pos : int) : int =
-  (((rule lsl 15) lor prec) lsl 30) lor pos
-
-let memo_pos (key : int) : int = key land 0x3FFFFFFF
-
-(* Windowed memo eviction: entries keyed at positions behind the release
-   frontier can never be hit again (the stream refuses to rewind there),
-   so drop them when the stream's window slides.  Polymorphic in the entry
-   type: {!Generated} uses the same packing with its own entry type. *)
-let evict_memo_before (tbl : (int, 'a) Hashtbl.t) (frontier : int) : unit =
-  Hashtbl.filter_map_inplace
-    (fun key v -> if memo_pos key < frontier then None else Some v)
-    tbl
 
 type t = {
   c : Llstar.Compiled.t;
@@ -89,7 +65,7 @@ type t = {
   ts : Token_stream.t;
   profile : Profile.t option;
   tracer : Obs.Trace.t;
-  memo : (int, memo_entry) Hashtbl.t option; (* packed (rule, prec, pos) *)
+  memo : Memo.t option; (* [None]: the grammar does not memoize *)
   mutable speculating : int;
   recover : bool;
   mutable errors : Parse_error.t list;
@@ -123,7 +99,8 @@ let error t kind rule =
       (Token_stream.index t.ts)
       (Parse_error.pp (Llstar.Compiled.sym t.c))
       e;
-  if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
+  if t.speculating > 0 then raise Token_stream.Spec_fail
+  else raise (Parse_error.Error e)
 
 (* Offending-token error for prediction: report at the token that killed the
    DFA, [depth] tokens ahead (section 4.4). *)
@@ -139,7 +116,8 @@ let prediction_error t ~decision ~depth rule =
       (Token_stream.index t.ts)
       (Parse_error.pp (Llstar.Compiled.sym t.c))
       e;
-  if t.speculating > 0 then raise Spec_fail else raise (Parse_error.Error e)
+  if t.speculating > 0 then raise Token_stream.Spec_fail
+  else raise (Parse_error.Error e)
 
 (* ------------------------------------------------------------------ *)
 (* Speculation: evaluate a syntactic predicate by simulating its pseudo-rule
@@ -148,25 +126,16 @@ let prediction_error t ~decision ~depth rule =
    (for profiling). *)
 
 let rec eval_synpred t (rule : int) : bool * int =
-  let start = Token_stream.mark t.ts in
+  let start = Token_stream.index t.ts in
   if tr_on t then
     emit t
       (Obs.Trace.Synpred_enter { rule = Atn.rule_name (atn t) rule; pos = start });
-  let saved_hw = Token_stream.high_water t.ts in
-  (* [start - 1]: the speculation has examined nothing yet, so an empty
-     synpred fragment reports a reach of 0, not 1 *)
-  Token_stream.set_high_water t.ts (start - 1);
   t.speculating <- t.speculating + 1;
-  let ok =
-    match parse_rule t rule ~prec:0 ~building:false with
-    | _ -> true
-    | exception Spec_fail -> false
+  let ok, reach =
+    Token_stream.speculate t.ts (fun () ->
+        ignore (parse_rule t rule ~prec:0 ~building:false))
   in
   t.speculating <- t.speculating - 1;
-  let reach = max 0 (Token_stream.high_water t.ts - start + 1) in
-  Token_stream.seek t.ts start;
-  Token_stream.release t.ts start;
-  Token_stream.set_high_water t.ts (max saved_hw (Token_stream.high_water t.ts));
   if tr_on t then
     emit t
       (Obs.Trace.Synpred_exit
@@ -332,158 +301,146 @@ and predict t (decision : int) ~prec ~rule : int =
 (* Rule invocation: simulate the rule's submachine. *)
 
 and parse_rule t (rule : int) ~prec ~building : Tree.t list =
-  let a = atn t in
-  let ri = a.Atn.rules.(rule) in
-  let use_memo = t.speculating > 0 && t.memo <> None in
-  let memo_key =
-    if use_memo then memo_key ~rule ~prec ~pos:(Token_stream.index t.ts)
-    else 0
-  in
-  let memo_entry =
-    if use_memo then Hashtbl.find_opt (Option.get t.memo) memo_key else None
-  in
-  if use_memo && tr_on t then
-    emit t
-      (let pos = Token_stream.index t.ts in
-       match memo_entry with
-       | Some _ -> Obs.Trace.Memo_hit { rule = ri.Atn.r_name; pos }
-       | None -> Obs.Trace.Memo_miss { rule = ri.Atn.r_name; pos });
-  match memo_entry with
-  | Some Failed -> raise Spec_fail
-  | Some (Succeeded stop) ->
-      (* Valid because speculation builds no tree and runs no actions. *)
-      Token_stream.seek t.ts stop;
+  match t.memo with
+  | Some m when t.speculating > 0 ->
+      (* Speculation builds no tree, so [building] is false here. *)
+      let key = Memo.key ~rule ~prec ~pos:(Token_stream.index t.ts) in
+      if tr_on t then
+        emit t
+          (let rule = Atn.rule_name (atn t) rule in
+           let pos = Token_stream.index t.ts in
+           match Memo.find m key with
+           | Some _ -> Obs.Trace.Memo_hit { rule; pos }
+           | None -> Obs.Trace.Memo_miss { rule; pos });
+      Memo.memoized m key (fun () ->
+          ignore (run_rule t rule ~prec ~building:false));
       []
-  | None -> (
-      let run () =
-        let children = ref [] in
-        let add c = if building then children := c :: !children in
-        let state = ref ri.Atn.r_entry in
-        let chosen_alt = ref 1 in
-        (* Set right after a prediction: the chosen alternative's left-edge
-           syntactic predicate is subsumed by the decision that selected it
-           (the analysis strips predicates from decisions it can resolve,
-           section 6.1), so the gate is not re-evaluated. *)
-        let fresh_prediction = ref false in
-        (* Progress guard: a loop decision whose body matched no input would
-           otherwise re-enter forever (e.g. a nullable body under ambiguity
-           resolution).  If the same decision fires twice at the same input
-           position, force its exit alternative. *)
-        let seen_here = ref [] in
-        let last_pos = ref (-1) in
-        while !state <> ri.Atn.r_stop do
-          let s = !state in
-          match Atn.decision_of a s with
-          | d when d >= 0 ->
-              let decision = a.Atn.decisions.(d) in
-              let pos = Token_stream.index t.ts in
-              let stuck =
-                if pos <> !last_pos then begin
-                  last_pos := pos;
-                  seen_here := [ d ];
-                  false
-                end
-                else if List.mem d !seen_here then true
-                else begin
-                  seen_here := d :: !seen_here;
-                  false
-                end
-              in
-              let alt =
-                if stuck then
-                  match decision.Atn.d_exit_alt with
-                  | Some e -> e
-                  | None ->
-                      error t
-                        (Parse_error.No_viable_alt { decision = d; depth = 1 })
-                        rule
-                else predict t d ~prec ~rule
-              in
-              if s = ri.Atn.r_entry then chosen_alt := alt;
-              let targets = Atn.decision_alt_targets a decision in
-              fresh_prediction := true;
-              state := targets.(alt - 1)
-          | _ -> (
-              match a.Atn.trans.(s) with
-              | [||] ->
-                  (* dead end that is not the stop state: internal error *)
-                  error t (Parse_error.No_viable_alt { decision = -1; depth = 1 }) rule
-              | row ->
-                  let edge, tgt = row.(0) in
-                  let was_fresh = !fresh_prediction in
-                  fresh_prediction := false;
-                  ignore was_fresh;
-                  (match edge with
-                  | Atn.Eps -> fresh_prediction := was_fresh; state := tgt
-                  | Atn.Term term ->
-                      let la1 = Token_stream.la t.ts 1 in
-                      let matches =
-                        la1 = term
-                        || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
-                      in
-                      if matches then begin
-                        let tok = Token_stream.consume t.ts in
-                        add (Tree.Leaf tok);
-                        state := tgt
-                      end
-                      else
-                        error t
-                          (Parse_error.Mismatched_token { expected = term })
-                          rule
-                  | Atn.Rule { rule = callee; arg } ->
-                      let callee_prec = Option.value ~default:0 arg in
-                      let sub =
-                        parse_rule t callee ~prec:callee_prec ~building
-                      in
-                      List.iter add sub;
-                      state := tgt
-                  | Atn.Pred (Atn.Sem code) ->
-                      if t.env.sem_pred code (Token_stream.lt t.ts 1) then
-                        state := tgt
-                      else
-                        error t (Parse_error.Failed_predicate { text = code })
-                          rule
-                  | Atn.Pred (Atn.Prec n) ->
-                      if prec <= n then state := tgt
-                      else
-                        error t
-                          (Parse_error.Failed_predicate
-                             { text = Printf.sprintf "p <= %d" n })
-                          rule
-                  | Atn.Pred (Atn.Syn synrule) ->
-                      if was_fresh then state := tgt
-                      else begin
-                        let ok, _ = eval_synpred t synrule in
-                        if ok then state := tgt
-                        else
-                          error t
-                            (Parse_error.Failed_predicate
-                               { text = Atn.rule_name a synrule })
-                            rule
-                      end
-                  | Atn.Act { id; always } ->
-                      let code, _ = a.Atn.actions.(id) in
-                      if t.speculating = 0 || always then
-                        t.env.action code (Token_stream.prev t.ts);
-                      state := tgt))
-        done;
-        (!chosen_alt, List.rev !children)
-      in
-      if ri.Atn.r_is_synpred || not building then begin
-        match run () with
-        | _ ->
-            if use_memo then
-              Hashtbl.replace (Option.get t.memo) memo_key
-                (Succeeded (Token_stream.index t.ts));
-            []
-        | exception Spec_fail ->
-            if use_memo then
-              Hashtbl.replace (Option.get t.memo) memo_key Failed;
-            raise Spec_fail
+  | _ ->
+      if (atn t).Atn.rules.(rule).Atn.r_is_synpred || not building then begin
+        ignore (run_rule t rule ~prec ~building:false);
+        []
       end
       else
-        let alt, children = run () in
-        [ Tree.Node { rule; alt; children } ])
+        let alt, children = run_rule t rule ~prec ~building:true in
+        [ Tree.Node { rule; alt; children } ]
+
+(* Simulate the rule's submachine; returns the alternative chosen at its
+   entry decision and, when [building], the children in order. *)
+and run_rule t (rule : int) ~prec ~building : int * Tree.t list =
+  let a = atn t in
+  let ri = a.Atn.rules.(rule) in
+  let children = ref [] in
+  let add c = if building then children := c :: !children in
+  let state = ref ri.Atn.r_entry in
+  let chosen_alt = ref 1 in
+  (* Set right after a prediction: the chosen alternative's left-edge
+     syntactic predicate is subsumed by the decision that selected it
+     (the analysis strips predicates from decisions it can resolve,
+     section 6.1), so the gate is not re-evaluated. *)
+  let fresh_prediction = ref false in
+  (* Progress guard: a loop decision whose body matched no input would
+     otherwise re-enter forever (e.g. a nullable body under ambiguity
+     resolution).  If the same decision fires twice at the same input
+     position, force its exit alternative. *)
+  let seen_here = ref [] in
+  let last_pos = ref (-1) in
+  while !state <> ri.Atn.r_stop do
+    let s = !state in
+    match Atn.decision_of a s with
+    | d when d >= 0 ->
+        let decision = a.Atn.decisions.(d) in
+        let pos = Token_stream.index t.ts in
+        let stuck =
+          if pos <> !last_pos then begin
+            last_pos := pos;
+            seen_here := [ d ];
+            false
+          end
+          else if List.mem d !seen_here then true
+          else begin
+            seen_here := d :: !seen_here;
+            false
+          end
+        in
+        let alt =
+          if stuck then
+            match decision.Atn.d_exit_alt with
+            | Some e -> e
+            | None ->
+                error t
+                  (Parse_error.No_viable_alt { decision = d; depth = 1 })
+                  rule
+          else predict t d ~prec ~rule
+        in
+        if s = ri.Atn.r_entry then chosen_alt := alt;
+        let targets = Atn.decision_alt_targets a decision in
+        fresh_prediction := true;
+        state := targets.(alt - 1)
+    | _ -> (
+        match a.Atn.trans.(s) with
+        | [||] ->
+            (* dead end that is not the stop state: internal error *)
+            error t (Parse_error.No_viable_alt { decision = -1; depth = 1 }) rule
+        | row ->
+            let edge, tgt = row.(0) in
+            let was_fresh = !fresh_prediction in
+            fresh_prediction := false;
+            ignore was_fresh;
+            (match edge with
+            | Atn.Eps -> fresh_prediction := was_fresh; state := tgt
+            | Atn.Term term ->
+                let la1 = Token_stream.la t.ts 1 in
+                let matches =
+                  la1 = term
+                  || (term = Grammar.Sym.wildcard && la1 <> Grammar.Sym.eof)
+                in
+                if matches then begin
+                  let tok = Token_stream.consume t.ts in
+                  add (Tree.Leaf tok);
+                  state := tgt
+                end
+                else
+                  error t
+                    (Parse_error.Mismatched_token { expected = term })
+                    rule
+            | Atn.Rule { rule = callee; arg } ->
+                let callee_prec = Option.value ~default:0 arg in
+                let sub =
+                  parse_rule t callee ~prec:callee_prec ~building
+                in
+                List.iter add sub;
+                state := tgt
+            | Atn.Pred (Atn.Sem code) ->
+                if t.env.sem_pred code (Token_stream.lt t.ts 1) then
+                  state := tgt
+                else
+                  error t (Parse_error.Failed_predicate { text = code })
+                    rule
+            | Atn.Pred (Atn.Prec n) ->
+                if prec <= n then state := tgt
+                else
+                  error t
+                    (Parse_error.Failed_predicate
+                       { text = Printf.sprintf "p <= %d" n })
+                    rule
+            | Atn.Pred (Atn.Syn synrule) ->
+                if was_fresh then state := tgt
+                else begin
+                  let ok, _ = eval_synpred t synrule in
+                  if ok then state := tgt
+                  else
+                    error t
+                      (Parse_error.Failed_predicate
+                         { text = Atn.rule_name a synrule })
+                      rule
+                end
+            | Atn.Act { id; always } ->
+                let code, _ = a.Atn.actions.(id) in
+                if t.speculating = 0 || always then
+                  t.env.action code (Token_stream.prev t.ts);
+                state := tgt))
+  done;
+  (!chosen_alt, List.rev !children)
 
 (* ------------------------------------------------------------------ *)
 (* Panic-mode recovery: sync to a token that can follow the current rule. *)
@@ -591,12 +548,11 @@ let recover_to_follow t rule =
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
-(* [create_from_stream] runs the parser over any stream, including a
-   streaming window ({!Token_stream.of_pull}); in that case the memo table
-   subscribes to the window's release hook so entries behind the frontier
-   are evicted as the window slides -- they can never be hit again, because
-   the stream refuses to rewind past the frontier. *)
-let create_from_stream ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
+(* The parser runs over any stream: a window fed by the chunked lexer
+   ({!Token_stream.of_pull}) or a pinned array ({!Token_stream.of_array}).
+   Memo entries behind the window's release frontier are evicted as it
+   slides (see {!Memo}). *)
+let create ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     ?(recover = false) ?(max_errors = 25) (c : Llstar.Compiled.t)
     (ts : Token_stream.t) : t =
   let memoize = (Llstar.Compiled.options c).Grammar.Ast.memoize in
@@ -610,18 +566,13 @@ let create_from_stream ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
           ~n:(Llstar.Compiled.dfa c d).Llstar.Look_dfa.nstates
       done
   | _ -> ());
-  let memo = if memoize then Some (Hashtbl.create 1024) else None in
-  (match memo with
-  | Some tbl when Token_stream.is_streaming ts ->
-      Token_stream.set_release_hook ts (evict_memo_before tbl)
-  | _ -> ());
   {
     c;
     env;
     ts;
     profile;
     tracer;
-    memo;
+    memo = (if memoize then Some (Memo.create ts) else None);
     speculating = 0;
     recover;
     errors = [];
@@ -630,11 +581,6 @@ let create_from_stream ?(env = default_env) ?profile ?(tracer = Obs.Trace.null)
     follow_cache = Hashtbl.create 16;
     ff = None;
   }
-
-let create ?env ?profile ?tracer ?recover ?max_errors (c : Llstar.Compiled.t)
-    (toks : Token.t array) : t =
-  create_from_stream ?env ?profile ?tracer ?recover ?max_errors c
-    (Token_stream.of_array toks)
 
 let start_rule_id t = function
   | Some name -> (
@@ -696,8 +642,7 @@ let run (t : t) ?start () : (Tree.t, Parse_error.t list) result =
 
 let parse ?env ?profile ?tracer ?recover ?start (c : Llstar.Compiled.t)
     (toks : Token.t array) : (Tree.t, Parse_error.t list) result =
-  let t = create ?env ?profile ?tracer ?recover c toks in
-  run t ?start ()
+  run (create ?env ?profile ?tracer ?recover c (Token_stream.of_array toks)) ?start ()
 
 (* Recognizer: no tree construction (used by benchmarks). *)
 let recognize_run (t : t) ?start () : (unit, Parse_error.t list) result =
@@ -719,19 +664,9 @@ let recognize_run (t : t) ?start () : (unit, Parse_error.t list) result =
 
 let recognize ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
     (toks : Token.t array) : (unit, Parse_error.t list) result =
-  let t = create ?env ?profile ?tracer c toks in
-  recognize_run t ?start ()
-
-(* Streaming recognizer: same semantics as {!recognize} over whatever the
-   stream yields, in O(window) live memory.  Exceptions from the stream's
-   pull function (e.g. {!Lexer_engine.Lex_error}) propagate to the
-   caller. *)
-let recognize_stream ?env ?profile ?tracer ?start (c : Llstar.Compiled.t)
-    (ts : Token_stream.t) : (unit, Parse_error.t list) result =
-  let t = create_from_stream ?env ?profile ?tracer c ts in
-  recognize_run t ?start ()
+  recognize_run (create ?env ?profile ?tracer c (Token_stream.of_array toks)) ?start ()
 
 (* Number of (rule, position) results currently memoized; the paper's
    section-6.2 point is that memoizing only while speculating keeps this far
    below a packrat parser's table. *)
-let memo_entries t = match t.memo with Some tbl -> Hashtbl.length tbl | None -> 0
+let memo_entries t = match t.memo with Some m -> Memo.entries m | None -> 0

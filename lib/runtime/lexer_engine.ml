@@ -530,9 +530,10 @@ let pull ?chunk_tokens (s : stream) () : Token.t array =
   | Error e -> raise (Lex_error e)
 
 (* Scan the rest of the input without retaining tokens: the count of
-   remaining tokens, or the first lex error.  Streaming drivers use this
-   after an early parse verdict so their reported verdict and token total
-   match the materialized path, which always lexes everything first. *)
+   remaining tokens, or the first lex error.  Drivers that parse while
+   they lex use this after the parse verdict, so a lex error anywhere wins
+   and the token total is complete, as if everything had been lexed
+   first. *)
 let drain (s : stream) : (int, error) result =
   let n = ref 0 in
   let rec go () =

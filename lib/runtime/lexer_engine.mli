@@ -82,9 +82,9 @@ val pull : ?chunk_tokens:int -> stream -> unit -> Token.t array
 
 val drain : stream -> (int, error) result
 (** Scan the remaining input without retaining tokens: the count of
-    remaining tokens, or the first lex error.  Lets a streaming driver
-    report the same verdict and token total as the materialized path,
-    which always lexes everything first. *)
+    remaining tokens, or the first lex error.  Lets a driver that parses
+    while it lexes report the same verdict and token total as if it had
+    lexed everything first. *)
 
 val produced : stream -> int
 (** Tokens produced so far (across all chunks). *)

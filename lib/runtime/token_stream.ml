@@ -5,38 +5,41 @@
    high-water mark records the furthest token index touched by lookahead or
    consumption; the profiler uses it to measure speculation depth.
 
-   Two modes share one representation:
+   There is one mode: [toks] is a window over the token sequence a pull
+   source produces.  [base] is the absolute index of [toks.(0)]; [limit] is
+   the filled prefix.  Tokens below the release frontier -- [min (oldest
+   live mark) (cursor) - 1], i.e. everything speculation can no longer
+   rewind to -- are reclaimed when the window needs room.  The frontier is
+   always [base].  [of_array] is the degenerate case: one chunk, already
+   exhausted, so the window never needs room and never slides.
 
-   - *materialized* ([of_array]/[load]): the whole token array is pinned,
-     [base = 0], [limit = Array.length toks], no source.  This is the
-     historical behaviour and what generated parsers inline against.
-   - *streaming* ([of_pull]): [toks] is a sliding window over an unbounded
-     token sequence produced by a pull function.  [base] is the absolute
-     index of [toks.(0)]; [limit] is the filled prefix.  Tokens below the
-     release frontier -- [min (oldest live mark) (cursor) - 1], i.e.
-     everything speculation can no longer rewind to -- are reclaimed when
-     the window needs room.  The frontier is always [base].
+   The window array is sized lazily: it starts empty and grows by doubling
+   up to the configured [window]; only once it is full does the stream
+   slide, and it grows past [window] only while live marks pin more than
+   fits.  A huge configured window therefore costs nothing up front.
 
    The cursor [p] and high-water [hw] are window-relative (absolute minus
    [base]); the public API speaks absolute indices.  Keeping [p]/[hw]
    relative is what lets generated parsers inline lookahead and consume as
-   direct field accesses in both modes. *)
+   direct field accesses. *)
 
 type t = {
   mutable toks : Token.t array; (* window; slots [0, limit) are live *)
   mutable p : int; (* cursor, window-relative: next token to consume *)
   mutable hw : int; (* furthest window-relative index examined *)
   mutable limit : int; (* filled prefix of [toks]; always <= length *)
-  mutable base : int; (* absolute index of [toks.(0)]; 0 if materialized *)
-  mutable src : (unit -> Token.t array) option; (* None: materialized *)
+  mutable base : int; (* absolute index of [toks.(0)]: the frontier *)
+  src : unit -> Token.t array; (* chunk source; [||] at end of input *)
   mutable eof_seen : bool; (* the source returned its last chunk *)
   mutable marks : int list; (* live marks (absolute), newest first *)
   mutable on_release : int -> unit; (* called with the new frontier *)
-  mutable window : int; (* target window capacity (streaming) *)
+  window : int; (* capacity at which the window starts to slide *)
   mutable peak : int; (* max tokens resident at once *)
 }
 
 exception Released of { frontier : int; requested : int }
+
+exception Spec_fail
 
 let () =
   Printexc.register_printer (function
@@ -47,77 +50,32 @@ let () =
              requested)
     | _ -> None)
 
+let exhausted () = [||]
+
 (* hw = -1: no index has been examined until the first [lt]/[la] call *)
-let of_array toks =
+let make ~window ~eof_seen src toks =
+  let n = Array.length toks in
   {
     toks;
     p = 0;
     hw = -1;
-    limit = Array.length toks;
+    limit = n;
     base = 0;
-    src = None;
-    eof_seen = true;
-    marks = [];
-    on_release = ignore;
-    window = 0;
-    peak = Array.length toks;
-  }
-
-(* A shared filler for vacated window slots, so reclaimed tokens become
-   garbage immediately instead of lingering behind the frontier until the
-   slot is overwritten. *)
-let filler = Token.eof_token ~index:(-1)
-
-let of_pull ?(window = 4096) pull =
-  let window = max 1 window in
-  {
-    toks = Array.make window filler;
-    p = 0;
-    hw = -1;
-    limit = 0;
-    base = 0;
-    src = Some pull;
-    eof_seen = false;
+    src;
+    eof_seen;
     marks = [];
     on_release = ignore;
     window;
-    peak = 0;
+    peak = n;
   }
 
-let is_streaming t = t.src <> None
+let of_array toks =
+  make ~window:(Array.length toks) ~eof_seen:true exhausted toks
 
-(* Reset for reuse: rewind the cursor and forget the high-water mark, so a
-   long-lived consumer (the serve layer's request loop) can run many
-   independent parses through one stream value without one parse's
-   speculation reach or cursor position leaking into the next.  Only
-   meaningful in materialized mode -- a streaming window cannot rewind past
-   its frontier, so [reset] refuses rather than silently corrupting the
-   cursor. *)
-let reset t =
-  if is_streaming t then
-    invalid_arg "Token_stream.reset: cannot rewind a streaming window";
-  t.p <- 0;
-  t.hw <- -1
+let of_pull ?(window = 4096) pull =
+  make ~window:(max 1 window) ~eof_seen:false pull [||]
 
-(* Replace the token array and reset: the cross-request reuse entry point.
-   Swapping the array (rather than allocating a stream per request) keeps
-   the stream identity stable for state that holds a reference to it.  Also
-   the escape hatch back to materialized mode for a stream value previously
-   pointed at a source. *)
-let load t toks =
-  t.src <- None;
-  t.eof_seen <- true;
-  t.base <- 0;
-  t.limit <- Array.length toks;
-  t.marks <- [];
-  t.on_release <- ignore;
-  t.window <- 0;
-  t.peak <- Array.length toks;
-  t.toks <- toks;
-  reset t
-
-(* Tokens seen so far: the total count once the source is exhausted, and
-   exactly [Array.length toks] in materialized mode. *)
+(* Tokens seen so far: the total count once the source is exhausted. *)
 let size t = t.base + t.limit
 
 let index t = t.base + t.p
@@ -131,6 +89,11 @@ let touch t i = if i > t.hw then t.hw <- i
 let frontier_target t =
   let floor = List.fold_left min (t.base + t.p) t.marks - 1 in
   max floor t.base
+
+(* A shared filler for vacated window slots, so reclaimed tokens become
+   garbage immediately instead of lingering behind the frontier until the
+   slot is overwritten. *)
+let filler = Token.eof_token ~index:(-1)
 
 (* Drop released tokens from the front of the window.  All relative
    coordinates (cursor, high-water, fill limit) shift down together, so
@@ -149,15 +112,19 @@ let slide t =
     t.on_release t.base
   end
 
-(* Make room for [n] more tokens: slide first, grow (amortized doubling)
-   only if the live span still does not fit.  The window only outgrows its
-   configured size when speculation genuinely needs a longer reach. *)
+(* Make room for [n] more tokens.  Below the configured window the array
+   just grows (doubling, capped at the window); at the window the stream
+   slides first and grows past it only if the live span still does not
+   fit, i.e. when speculation genuinely needs a longer reach. *)
 let room t n =
-  if t.limit + n > Array.length t.toks then begin
-    slide t;
-    if t.limit + n > Array.length t.toks then begin
-      let cap = max (2 * Array.length t.toks) (t.limit + n) in
-      let toks = Array.make cap filler in
+  let cap = Array.length t.toks in
+  if t.limit + n > cap then begin
+    if t.limit + n > t.window then slide t;
+    let need = t.limit + n in
+    if need > cap then begin
+      let grown = max need (2 * cap) in
+      let grown = if need <= t.window then min grown t.window else grown in
+      let toks = Array.make grown filler in
       Array.blit t.toks 0 toks 0 t.limit;
       t.toks <- toks
     end
@@ -165,20 +132,15 @@ let room t n =
 
 (* Pull one chunk from the source into the window. *)
 let fill_once t =
-  match t.src with
-  | None -> ()
-  | Some pull ->
-      if not t.eof_seen then begin
-        let chunk = pull () in
-        let n = Array.length chunk in
-        if n = 0 then t.eof_seen <- true
-        else begin
-          room t n;
-          Array.blit chunk 0 t.toks t.limit n;
-          t.limit <- t.limit + n;
-          if t.limit > t.peak then t.peak <- t.limit
-        end
-      end
+  let chunk = t.src () in
+  let n = Array.length chunk in
+  if n = 0 then t.eof_seen <- true
+  else begin
+    room t n;
+    Array.blit chunk 0 t.toks t.limit n;
+    t.limit <- t.limit + n;
+    if t.limit > t.peak then t.peak <- t.limit
+  end
 
 (* Fill until the window covers relative index [i] (or the source ends).
    Sliding inside [fill_once] may shift [i]; re-deriving it from the
@@ -191,7 +153,7 @@ let fill_to t i =
 
 (* Token at lookahead offset [k] (k >= 1); EOF beyond the end.  The fast
    path is a bounds check against the filled prefix; [lt_slow] pulls from
-   the source (streaming) or synthesizes EOF (materialized / exhausted). *)
+   the source or synthesizes EOF once it is exhausted. *)
 let lt_slow t k =
   fill_to t (t.p + k - 1);
   let i = t.p + k - 1 in
@@ -218,46 +180,60 @@ let consume t =
   if not (Token.is_eof tok) then t.p <- t.p + 1;
   tok
 
-(* Materialized mode clamps to [0, size] ([size] being the legal post-EOF
-   cursor): marks always come from [mark]/[index] and are in range, but
-   seek is also reachable from memoized stop positions and recovery logic,
-   and an out-of-range cursor silently accepted here surfaced later as
-   [prev] reading outside the array or lookahead running from a negative
-   index.  Streaming mode cannot clamp a below-frontier target -- the
-   tokens are gone, and a clamped rewind would silently corrupt the
-   speculation it was meant to restore -- so it raises {!Released}. *)
+(* Targets are clamped into [frontier, size] ([size] being the legal
+   post-EOF cursor): marks always come from [mark]/[index] and are in
+   range, but seek is also reachable from memoized stop positions and
+   recovery logic, and an out-of-range cursor silently accepted here
+   surfaced later as [prev] reading outside the window or lookahead running
+   from a negative index.  A target below a frontier that has moved cannot
+   be clamped -- the tokens are gone, and a clamped rewind would silently
+   corrupt the speculation it was meant to restore -- so it raises
+   {!Released}. *)
 let seek t i =
-  match t.src with
-  | None -> t.p <- max 0 (min i t.limit)
-  | Some _ ->
-      if i < t.base then raise (Released { frontier = t.base; requested = i });
-      t.p <- min (i - t.base) t.limit
+  if i < t.base && t.base > 0 then
+    raise (Released { frontier = t.base; requested = i });
+  t.p <- max 0 (min (i - t.base) t.limit)
 
 (* Marks pin the window: tokens at or above [oldest mark - 1] survive
-   sliding.  Streaming callers must pair every [mark] with [release]; the
-   debug retention check ([live_marks]) catches forgotten ones. *)
+   sliding.  Callers must pair every [mark] with [release]; the debug
+   retention check ([live_marks]) catches forgotten ones. *)
 let mark t =
   let m = t.base + t.p in
-  if is_streaming t then t.marks <- m :: t.marks;
+  t.marks <- m :: t.marks;
   m
 
 let release t m =
-  if is_streaming t then
-    match t.marks with
-    | hd :: tl when hd = m -> t.marks <- tl
-    | marks ->
-        (* out-of-order release: drop the first matching mark *)
-        let rec drop = function
-          | [] -> []
-          | hd :: tl -> if hd = m then tl else hd :: drop tl
-        in
-        t.marks <- drop marks
+  match t.marks with
+  | hd :: tl when hd = m -> t.marks <- tl
+  | marks ->
+      (* out-of-order release: drop the first matching mark *)
+      let rec drop = function
+        | [] -> []
+        | hd :: tl -> if hd = m then tl else hd :: drop tl
+      in
+      t.marks <- drop marks
 
 let live_marks t = t.marks
 
 let high_water t = t.base + t.hw
 
 let set_high_water t v = t.hw <- v - t.base
+
+(* The speculation rewind protocol shared by every runtime: mark, run the
+   body with the high-water mark reset, measure its reach, rewind, release,
+   and fold the reach back into the high-water mark (so profiled lookahead
+   depths include speculative reach).  [start - 1]: the body has examined
+   nothing yet, so an empty synpred fragment reports a reach of 0, not 1. *)
+let speculate t (body : unit -> unit) : bool * int =
+  let start = mark t in
+  let saved_hw = high_water t in
+  set_high_water t (start - 1);
+  let ok = match body () with () -> true | exception Spec_fail -> false in
+  let reach = max 0 (high_water t - start + 1) in
+  seek t start;
+  release t start;
+  set_high_water t (max saved_hw (high_water t));
+  (ok, reach)
 
 let at_eof t =
   if t.p < t.limit then false
@@ -273,5 +249,3 @@ let prev t = if t.p > 0 then Some t.toks.(t.p - 1) else None
 let set_release_hook t f = t.on_release <- f
 
 let peak_live t = t.peak
-
-let window_size t = t.window

@@ -88,72 +88,94 @@ type parse_verdict =
    parse).  Request wall minus the two is protocol/dispatch overhead. *)
 type parse_work = { verdict : parse_verdict; queue_us : int; parse_us : int }
 
-(* The closure submitted to the pool: lexing and parsing both count
-   against the request's budget and both run off the connection thread.
-   [tracer] is the per-request capture ring (or [null]); it sees lexer
-   mode events from [tokenize] and decision/speculation/memo events from
-   the interpreter.  Generated parsers have no tracer hook, so their
-   captures carry lexer events only. *)
+(* The closure submitted to the pool, for both parse ops: the request text
+   feeds the chunked scanner, the scanner feeds a lazily sized token
+   window, and the parser pulls as it goes -- O(window) live tokens however
+   large the payload.  Lexing and parsing both count against the request's
+   budget and both run off the connection thread.  The token budget is
+   enforced incrementally: the pull aborts the parse the moment production
+   crosses [max_tokens].  Draining the scanner afterwards makes a lex error
+   or a budget overrun anywhere in the input win over the parse verdict,
+   with the same total count, as if the whole input had been lexed first.
+
+   [tracer] is the per-request capture ring (or [null]); it sees lexer mode
+   events and decision/speculation/memo events from the interpreter.
+   Generated parsers have no tracer hook, so their captures carry lexer
+   events only. *)
 let parse_work h (entry : Registry.entry) ~(backend : Protocol.backend)
-    ~(start : string option) ~(recover : bool) ~(tracer : Obs.Trace.t)
-    ~(submitted_us : int) (text : string) () : parse_work =
+    ~(start : string option) ~(recover : bool) ~(window : int)
+    ~(tracer : Obs.Trace.t) ~(submitted_us : int) (text : string) () :
+    parse_work =
   let t_start = mono_us () in
   let queue_us = max 0 (t_start - submitted_us) in
   let finish verdict = { verdict; queue_us; parse_us = mono_us () - t_start } in
   let sym = Llstar.Compiled.sym entry.c in
-  match Runtime.Lexer_engine.tokenize ~tracer entry.lexer_config sym text with
+  let ls =
+    Runtime.Lexer_engine.stream ~tracer entry.lexer_config sym
+      (Runtime.Lexer_engine.reader_of_string text)
+  in
+  let exception Over_budget in
+  let pull =
+    let inner = Runtime.Lexer_engine.pull ls in
+    fun () ->
+      if Runtime.Lexer_engine.produced ls > h.limits.max_tokens then
+        raise Over_budget;
+      inner ()
+  in
+  let ts = Runtime.Token_stream.of_pull ~window pull in
+  let profile = Runtime.Profile.create () in
+  let of_outcome (o : Runtime.Generated.outcome) =
+    {
+      ok = o.Runtime.Generated.ok;
+      errors = Option.to_list o.Runtime.Generated.error;
+      consumed = o.Runtime.Generated.consumed;
+    }
+  in
+  let run =
+    match backend with
+    | Protocol.Interp when recover ->
+        (* Recovery collects every error and consumes to EOF by design,
+           so [consumed] becomes the token total once the drain knows it;
+           the tree is discarded, only acceptance and the error list
+           travel back. *)
+        fun () ->
+          let tr =
+            Runtime.Interp.create ~env:entry.env ~profile ~tracer
+              ~recover:true entry.c ts
+          in
+          Some
+            (match Runtime.Interp.run tr ?start () with
+            | Ok _ -> { ok = true; errors = []; consumed = 0 }
+            | Error es -> { ok = false; errors = es; consumed = 0 })
+    | Protocol.Interp ->
+        fun () ->
+          Some
+            (of_outcome
+               (Runtime.Generated.interp_outcome_stream ~env:entry.env
+                  ~profile ~tracer ?start entry.c ts))
+    | Protocol.Generated -> (
+        match entry.generated with
+        | None -> fun () -> None
+        | Some (module P) ->
+            fun () ->
+              Some (of_outcome (P.outcome_stream ~env:entry.env ~profile ts)))
+  in
+  (* A lex error or budget overrun that stopped the parse is reported by
+     the drain, which picks up where the parse left off. *)
+  let result =
+    try run () with Over_budget | Runtime.Lexer_engine.Lex_error _ -> None
+  in
+  match Runtime.Lexer_engine.drain ls with
   | Error le -> finish (`Lex_error le)
-  | Ok toks ->
-      let n = Array.length toks in
+  | Ok _ -> (
+      let n = Runtime.Lexer_engine.produced ls in
       if n > h.limits.max_tokens then finish (`Token_budget n)
       else
-        let profile = Runtime.Profile.create () in
-        let result =
-          match backend with
-          | Protocol.Interp ->
-              if recover then
-                (* Recovery collects every error; the tree is discarded,
-                   only acceptance and the error list travel back. *)
-                let tr =
-                  Runtime.Interp.create ~env:entry.env ~profile ~tracer
-                    ~recover:true entry.c toks
-                in
-                let res = Runtime.Interp.run tr ?start () in
-                let consumed =
-                  match res with
-                  | Ok _ -> n
-                  | Error _ -> n (* recovery consumes to EOF by design *)
-                in
-                (match res with
-                | Ok _ -> Some { ok = true; errors = []; consumed }
-                | Error es -> Some { ok = false; errors = es; consumed })
-              else
-                let o =
-                  Runtime.Generated.interp_outcome ~env:entry.env ~profile
-                    ~tracer ?start entry.c toks
-                in
-                Some
-                  {
-                    ok = o.Runtime.Generated.ok;
-                    errors = Option.to_list o.Runtime.Generated.error;
-                    consumed = o.Runtime.Generated.consumed;
-                  }
-          | Protocol.Generated -> (
-              match entry.generated with
-              | None -> None
-              | Some (module P) ->
-                  let o = P.outcome ~env:entry.env ~profile toks in
-                  Some
-                    {
-                      ok = o.Runtime.Generated.ok;
-                      errors = Option.to_list o.Runtime.Generated.error;
-                      consumed = o.Runtime.Generated.consumed;
-                    })
-        in
-        (match result with
+        match result with
         | None -> finish `No_generated
         | Some r ->
             Runtime.Profile.observe_parse_us profile (mono_us () - t_start);
+            let r = if recover then { r with consumed = n } else r in
             finish (`Done (r, profile, n)))
 
 (* Record a finished parse request into the shared registry and tracer.
@@ -214,77 +236,8 @@ let record h ~(req_id : string) ~(op : string) ~(grammar : string)
            queue_us;
          })
 
-(* The streaming variant of [parse_work]: the request text feeds the
-   chunked scanner, the scanner feeds a bounded token window, and the
-   recognizer pulls as it goes -- O(window) live tokens however large the
-   payload.  The token budget is enforced incrementally: the pull aborts
-   the parse the moment production crosses [max_tokens].  Verdict parity
-   with [parse_work] (which lexes everything up front) requires draining
-   the scanner afterwards, so a lex error or a budget overrun anywhere in
-   the input wins over the parse verdict, with the same total count. *)
-let parse_stream_work h (entry : Registry.entry)
-    ~(backend : Protocol.backend) ~(start : string option) ~(window : int)
-    ~(tracer : Obs.Trace.t) ~(submitted_us : int) (text : string) () :
-    parse_work =
-  let t_start = mono_us () in
-  let queue_us = max 0 (t_start - submitted_us) in
-  let finish verdict = { verdict; queue_us; parse_us = mono_us () - t_start } in
-  let sym = Llstar.Compiled.sym entry.c in
-  let ls =
-    Runtime.Lexer_engine.stream ~tracer entry.lexer_config sym
-      (Runtime.Lexer_engine.reader_of_string text)
-  in
-  let exception Over_budget in
-  let pull =
-    let inner = Runtime.Lexer_engine.pull ls in
-    fun () ->
-      if Runtime.Lexer_engine.produced ls > h.limits.max_tokens then
-        raise Over_budget;
-      inner ()
-  in
-  let ts = Runtime.Token_stream.of_pull ~window pull in
-  let profile = Runtime.Profile.create () in
-  let run =
-    match backend with
-    | Protocol.Interp ->
-        Some
-          (fun () ->
-            Runtime.Generated.interp_outcome_stream ~env:entry.env ~profile
-              ~tracer ?start entry.c ts)
-    | Protocol.Generated -> (
-        match entry.generated with
-        | None -> None
-        | Some (module P) ->
-            Some (fun () -> P.outcome_stream ~env:entry.env ~profile ts))
-  in
-  match run with
-  | None -> finish `No_generated
-  | Some run -> (
-      match run () with
-      | exception Runtime.Lexer_engine.Lex_error le -> finish (`Lex_error le)
-      | exception Over_budget -> (
-          match Runtime.Lexer_engine.drain ls with
-          | Error le -> finish (`Lex_error le)
-          | Ok _ -> finish (`Token_budget (Runtime.Lexer_engine.produced ls)))
-      | o -> (
-          match Runtime.Lexer_engine.drain ls with
-          | Error le -> finish (`Lex_error le)
-          | Ok _ ->
-              let n = Runtime.Lexer_engine.produced ls in
-              if n > h.limits.max_tokens then finish (`Token_budget n)
-              else begin
-                Runtime.Profile.observe_parse_us profile
-                  (mono_us () - t_start);
-                finish
-                  (`Done
-                    ( {
-                        ok = o.Runtime.Generated.ok;
-                        errors = Option.to_list o.Runtime.Generated.error;
-                        consumed = o.Runtime.Generated.consumed;
-                      },
-                      profile,
-                      n ))
-              end))
+let no_generated_message gname =
+  Printf.sprintf "grammar %S has no generated parser; use backend=interp" gname
 
 (* Shared request plumbing and response assembly for parse and
    parse_stream: validation is the caller's job, everything from the
@@ -352,10 +305,7 @@ let respond_parse h (req : Protocol.request) ~(op : string)
                 fail "token_budget"
                   (Printf.sprintf "input lexed to %d tokens; limit is %d" n
                      h.limits.max_tokens)
-            | `No_generated ->
-                fail "no_generated_parser"
-                  (Printf.sprintf "grammar %S has no generated parser; use \
-                                   backend=interp" gname)
+            | `No_generated -> fail "no_generated_parser" (no_generated_message gname)
             | `Done (r, profile, tokens) ->
                 let wall = Obs.Trace.monotonic_now () -. t0 in
                 let over_budget = wall > h.limits.time_budget_s in
@@ -428,6 +378,8 @@ let with_parse_target h (req : Protocol.request)
                  (String.length text) h.limits.max_request_bytes)
           else k ~entry ~gname ~text)
 
+let default_window = 4096
+
 let do_parse h (req : Protocol.request) : Obs.Json.t =
   with_parse_target h req (fun ~entry ~gname ~text ->
       if req.Protocol.backend = Protocol.Generated && req.Protocol.recover
@@ -439,10 +391,8 @@ let do_parse h (req : Protocol.request) : Obs.Json.t =
         respond_parse h req ~op:"parse" ~entry ~gname
           (fun ~tracer ~submitted_us ->
             parse_work h entry ~backend:req.Protocol.backend
-              ~start:req.Protocol.start ~recover:req.Protocol.recover ~tracer
-              ~submitted_us text))
-
-let default_stream_window = 4096
+              ~start:req.Protocol.start ~recover:req.Protocol.recover
+              ~window:default_window ~tracer ~submitted_us text))
 
 let do_parse_stream h (req : Protocol.request) : Obs.Json.t =
   with_parse_target h req (fun ~entry ~gname ~text ->
@@ -451,16 +401,25 @@ let do_parse_stream h (req : Protocol.request) : Obs.Json.t =
           ~message ()
       in
       let window =
-        Option.value req.Protocol.window ~default:default_stream_window
+        Option.value req.Protocol.window ~default:default_window
       in
       if req.Protocol.recover then
         fail "parse_stream is recognize-only and does not support recover"
       else if window < 1 then fail "\"window\" must be >= 1"
+      else if
+        req.Protocol.backend = Protocol.Generated
+        && Option.is_none entry.Registry.generated
+      then
+        (* answered before any lexing, unlike [parse], which reports a lex
+           error or budget overrun in the text first *)
+        Protocol.error_response ~id:req.Protocol.id ~code:"no_generated_parser"
+          ~message:(no_generated_message gname) ()
       else
         respond_parse h req ~op:"parse_stream" ~entry ~gname
           (fun ~tracer ~submitted_us ->
-            parse_stream_work h entry ~backend:req.Protocol.backend
-              ~start:req.Protocol.start ~window ~tracer ~submitted_us text))
+            parse_work h entry ~backend:req.Protocol.backend
+              ~start:req.Protocol.start ~recover:false ~window ~tracer
+              ~submitted_us text))
 
 (* ------------------------------------------------------------------ *)
 (* Registry ops *)

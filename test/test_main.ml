@@ -14,4 +14,4 @@ let () =
    @ Test_lazy.suite @ Test_profile.suite
    @ Test_props.suite @ Test_fuzz.suite @ Test_obs.suite
    @ Test_bitset.suite @ Test_exec.suite @ Test_codegen.suite
-   @ Test_serve.suite)
+   @ Test_serve.suite @ Test_cli.suite)

@@ -333,12 +333,13 @@ let props =
             | Error _, Error _ -> true
             | _ -> false)
         | _ -> true);
-    (* The streaming pipeline's contract: a sliding window plus memo
-       eviction behind the release frontier changes memory behaviour only.
-       Verdict, error position, consumed count and the full profile (so
-       decision events, lookahead depths and speculation reach) must match
-       the materialized parse at every window size -- including a window
-       of 1 (maximum sliding) and window == input length (never slides). *)
+    (* The window's contract: sliding plus memo eviction behind the release
+       frontier changes memory behaviour only.  Verdict, error position,
+       consumed count and the full profile (so decision events, lookahead
+       depths and speculation reach) must match the pinned-array parse at
+       every window size -- including a window of 1 (maximum sliding) and
+       window == input length (never slides) -- and so must the tree and
+       the error list of a recovering parse. *)
     qtest ~count:60 "streaming parse == materialized at any window"
       (QCheck.pair arb_grammar_and_sentence
          (QCheck.list_of_size (Gen.int_bound 8) (QCheck.int_bound 4)))
@@ -361,6 +362,17 @@ let props =
               let toks = tokens_of_names c names in
               let pm = Runtime.Profile.create () in
               let mat = Runtime.Generated.interp_outcome ~profile:pm c toks in
+              let sym = Llstar.Compiled.sym c in
+              let recovered ts =
+                match
+                  Runtime.Interp.run (Runtime.Interp.create ~recover:true c ts) ()
+                with
+                | Ok tree -> "tree " ^ Runtime.Tree.to_string sym tree
+                | Error es ->
+                    String.concat "\n"
+                      (List.map (Runtime.Parse_error.to_string sym) es)
+              in
+              let rec_mat = recovered (Runtime.Token_stream.of_array toks) in
               let windows = [ 1; 2; 16; max 1 (Array.length toks) ] in
               List.for_all
                 (fun window ->
@@ -385,7 +397,19 @@ let props =
                       Test.fail_reportf "window %d: profiles differ on %s"
                         window
                         (String.concat " " names)
-                    else true))
+                    else
+                      let rec_str =
+                        recovered
+                          (Runtime.Token_stream.of_pull ~window
+                             (pull_of_array ~chunk:3 toks))
+                      in
+                      if rec_str <> rec_mat then
+                        Test.fail_reportf
+                          "window %d: recovery differs on %s:\n%s\nvs\n%s"
+                          window
+                          (String.concat " " names)
+                          rec_mat rec_str
+                      else true))
                 windows
             in
             let on_sentence =

@@ -71,7 +71,6 @@ let streaming_tests =
     test "sliding window sees the same tokens as the array" (fun () ->
         let toks = mk_tokens 50 in
         let ts = Ts.of_pull ~window:4 (pull_of_array ~chunk:4 toks) in
-        check bool "streaming" true (Ts.is_streaming ts);
         for i = 0 to 49 do
           check int (Printf.sprintf "la at %d" i) (i + 2) (Ts.la ts 1);
           let tok = Ts.consume ts in
@@ -82,6 +81,25 @@ let streaming_tests =
         check int "la past end is EOF" Grammar.Sym.eof (Ts.la ts 1);
         (* no marks: the window never needed to out-grow a doubling *)
         check bool "peak bounded by O(window)" true (Ts.peak_live ts <= 8));
+    test "the window is sized lazily, up to its configured bound" (fun () ->
+        (* a bound no host could allocate up front *)
+        let ts = Ts.of_pull ~window:(1 lsl 40) (pull_of_array ~chunk:3 (mk_tokens 10)) in
+        check int "nothing allocated before the first pull" 0
+          (Array.length ts.Ts.toks);
+        check int "la 1" 2 (Ts.la ts 1);
+        check int "one chunk, one chunk-sized array" 3 (Array.length ts.Ts.toks);
+        while not (Ts.at_eof ts) do
+          ignore (Ts.consume ts)
+        done;
+        check int "all tokens seen" 10 (Ts.size ts);
+        check bool "growth by doubling stays O(input)" true
+          (Array.length ts.Ts.toks <= 20);
+        (* below its bound the window grows instead of sliding *)
+        let ts = Ts.of_pull ~window:8 (pull_of_array ~chunk:1 (mk_tokens 32)) in
+        while not (Ts.at_eof ts) do
+          ignore (Ts.consume ts)
+        done;
+        check int "capped at the window" 8 (Array.length ts.Ts.toks));
     test "seek below the frontier raises Released" (fun () ->
         let ts = Ts.of_pull ~window:2 (pull_of_array ~chunk:2 (mk_tokens 32)) in
         for _ = 1 to 20 do
@@ -295,7 +313,10 @@ let tree_tests =
               Runtime.Token.make ~index:i a "A")
         in
         let t0 = Unix.gettimeofday () in
-        let t = Runtime.Interp.create ~recover:true ~max_errors c toks in
+        let t =
+          Runtime.Interp.create ~recover:true ~max_errors c
+            (Runtime.Token_stream.of_array toks)
+        in
         let errs =
           match Runtime.Interp.run t () with
           | Ok _ -> Alcotest.fail "expected errors"
@@ -485,7 +506,10 @@ let memo_tests =
           inputs);
     test "memo table only fills while speculating" (fun () ->
         let c = compile "grammar T; s : A b* ; b : B ;" in
-        let t = Runtime.Interp.create c (lex c "A B B B") in
+        let t =
+          Runtime.Interp.create c
+            (Runtime.Token_stream.of_array (lex c "A B B B"))
+        in
         (match Runtime.Interp.run t () with Ok _ -> () | Error _ -> Alcotest.fail "parse");
         check int "no speculation, no memo entries" 0
           (Runtime.Interp.memo_entries t));

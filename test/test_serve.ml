@@ -3,11 +3,9 @@
    full server lifecycle over a Unix socket with concurrent clients and a
    graceful drain.
 
-   The memo-leak regression at the bottom is the distilled serve-layer
-   bug: a [Runtime.Generated] state reused across requests WITHOUT
-   [Generated.reset] lets one input's speculation memo decide another
-   input's parse -- the naive-reuse step demonstrably flips the verdict,
-   and [reset] restores the fresh-state outcome. *)
+   The memo-isolation regression near the bottom is the distilled
+   serve-layer bug: parser state reused across requests would let one
+   input's speculation memo decide another input's parse. *)
 
 open Helpers
 module Json = Obs.Json
@@ -526,81 +524,130 @@ let reuse_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The distilled cross-request bug: a generated-parser state reused
-   without [Generated.reset].  Hand-built "generated-style" parser for
+(* The distilled cross-request bug.  The speculation memo is keyed by
+   (rule, precedence, position) only -- NOT by token content -- so parser
+   state that outlived a request would let one input's speculation outcome
+   decide another's parse.  In the second grammar, after "L^5 A R^5 Q" a
+   stale Succeeded entry for the synpred at position 0 would steer
+   "L^5 A R^5 P" into the first alternative and reject it.  Every request
+   gets fresh state, so every input is accepted, through both ops. *)
 
-     s : (x)=> A B | C D ;     synpred x : A ;
-
-   using the same Runtime.Generated primitives emitted code uses. *)
-
-module Rt = Runtime.Generated
-module Ts = Runtime.Token_stream
-
-let tA = 3
-let tB = 4
-let tC = 5
-let tD = 6
-
-let mk_toks (types : int list) : Runtime.Token.t array =
-  Array.of_list
-    (List.mapi
-       (fun i ttype ->
-         { Runtime.Token.ttype; text = "t"; line = 1; col = i; index = i })
-       types)
-
-let expect (st : Rt.st) (ty : int) : unit =
-  if Ts.la st.Rt.ts 1 = ty then ignore (Ts.consume st.Rt.ts)
-  else Rt.mismatched st ~expected:ty ~rule:1
-
-(* synpred body, memoized exactly like emitted synpred rules *)
-let x_spec (st : Rt.st) : unit =
-  Rt.memoized st ~rule:2 ~prec:0 (fun () -> expect st tA)
-
-let s_entry (st : Rt.st) : unit =
-  if Rt.syn_gate st (fun () -> x_spec st) then begin
-    expect st tA;
-    expect st tB
-  end
-  else begin
-    expect st tC;
-    expect st tD
-  end
-
-let generated_reset_tests =
+let memo_grammars =
   [
-    test "memo leak: naive state reuse flips the verdict; reset fixes it"
-      (fun () ->
-        let fresh toks = Rt.run_st (Rt.make ~memoize:true toks) ~start_rule:1 s_entry in
-        (* both inputs are in the language when parsed with fresh state *)
-        check bool "fresh accepts A B" true (fresh (mk_toks [ tA; tB ])).Rt.ok;
-        check bool "fresh accepts C D" true (fresh (mk_toks [ tC; tD ])).Rt.ok;
-        let st = Rt.make ~memoize:true (mk_toks [ tA; tB ]) in
-        check bool "first request accepts" true
-          (Rt.run_st st ~start_rule:1 s_entry).Rt.ok;
-        (* Naive reuse (the pre-fix serve bug): swap the tokens but keep
-           the memo.  The stale Succeeded entry for (rule x, pos 0) makes
-           the synpred "succeed" without looking at the input, steering
-           the decision into alt 1, which then rejects C D. *)
-        Ts.load st.Rt.ts (mk_toks [ tC; tD ]);
-        let stale = Rt.run_st st ~start_rule:1 s_entry in
-        check bool "stale memo flips accept to reject" false stale.Rt.ok;
-        (* [reset] clears the memo as well as the stream: same state, same
-           input, correct verdict again. *)
-        Rt.reset st (mk_toks [ tC; tD ]);
-        let after_reset = Rt.run_st st ~start_rule:1 s_entry in
-        check bool "reset restores the fresh outcome" true after_reset.Rt.ok;
-        check bool "reset outcome agrees with fresh state" true
-          (Rt.agree after_reset (fresh (mk_toks [ tC; tD ]))));
-    test "token stream load resets cursor and high water" (fun () ->
-        let ts = Ts.of_array (mk_toks [ tA; tB; tC ]) in
-        ignore (Ts.consume ts);
-        ignore (Ts.la ts 2);
-        check bool "advanced" true (Ts.index ts = 1 && Ts.high_water ts >= 2);
-        Ts.load ts (mk_toks [ tD ]);
-        check int "cursor rewound" 0 (Ts.index ts);
-        check int "high water forgotten" (-1) (Ts.high_water ts);
-        check int "new tokens visible" tD (Ts.la ts 1);
-        check int "eof after the end" Grammar.Sym.eof (Ts.la ts 2));
+    ( "memo1",
+      "grammar memo1; options { backtrack=true; memoize=true; } s : (A)=> A \
+       B | C D ;",
+      [ "A B"; "C D"; "A B"; "C D" ] );
+    ( "memo2",
+      "grammar memo2; options { backtrack=true; memoize=true; } s : (e Q)=> \
+       e Q | e P ; e : L e R | A ;",
+      [
+        "L L L L L A R R R R R Q";
+        "L L L L L A R R R R R P";
+        "L L L L L A R R R R R Q";
+        "L L L L L A R R R R R P";
+      ] );
+  ]
+
+let stream_req ?(extra = []) ~grammar text =
+  req
+    ([
+       ("op", Json.str "parse_stream");
+       ("grammar", Json.str grammar);
+       ("text", Json.str text);
+     ]
+    @ extra)
+
+(* parse_stream answers exactly like parse but for the echoed op name. *)
+let as_parse = function
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> if k = "op" then (k, Json.str "parse") else (k, v))
+           fields)
+  | j -> j
+
+let memo_isolation_tests =
+  [
+    test "speculation memo does not leak across requests" (fun () ->
+        with_handler (fun h ->
+            List.iter
+              (fun (name, src, inputs) ->
+                check bool ("load " ^ name) true
+                  (get_ok
+                     (handle_ok h
+                        (req
+                           [
+                             ("op", Json.str "load");
+                             ("grammar", Json.str name);
+                             ("text", Json.str src);
+                           ])));
+                List.iter
+                  (fun text ->
+                    check bool
+                      (Printf.sprintf "%s parse %S" name text)
+                      true
+                      (get_ok (handle_ok h (parse_req ~grammar:name text)));
+                    check bool
+                      (Printf.sprintf "%s parse_stream %S" name text)
+                      true
+                      (get_ok (handle_ok h (stream_req ~grammar:name text))))
+                  inputs)
+              memo_grammars));
+    test "parse_stream answers byte-identically to parse" (fun () ->
+        let limits =
+          { Serve.Handler.default_limits with Serve.Handler.max_tokens = 12 }
+        in
+        with_handler ~limits (fun h ->
+            List.iter
+              (fun (grammar, backend, text) ->
+                let p = handle_ok h (parse_req ~grammar ~backend text) in
+                List.iter
+                  (fun window ->
+                    let s =
+                      handle_ok h
+                        (stream_req ~grammar text
+                           ~extra:
+                             [
+                               ("backend", Json.str backend);
+                               ("window", Json.int window);
+                             ])
+                    in
+                    check string
+                      (Printf.sprintf "%s/%s %S at window %d" grammar backend
+                         text window)
+                      (Json.to_string (strip_wall p))
+                      (Json.to_string (strip_wall (as_parse s))))
+                  [ 1; 2; 4096 ])
+              [
+                ("tiny", "interp", "A B");
+                ("tiny", "interp", "A A");
+                ("tiny", "interp", "A B A");
+                ("tiny", "interp", "A !");
+                ("tiny", "interp", "A B A B A B A B A B A B A B");
+                ("MiniJava", "interp", "class A { int x ; }");
+                ("MiniJava", "generated", "class A { int x ; }");
+                ("MiniJava", "generated", "class A { int x ; } }");
+                ("MiniJava", "generated", "class A { int x ; } $");
+              ]));
+    test "a huge window costs nothing up front" (fun () ->
+        (* an array this large cannot be allocated: the window must be
+           sized as tokens arrive *)
+        with_handler (fun h ->
+            List.iter
+              (fun backend ->
+                let r =
+                  handle_ok h
+                    (stream_req ~grammar:"MiniJava" "class A { int x ; }"
+                       ~extra:
+                         [
+                           ("backend", Json.str backend);
+                           ("window", Json.int (1 lsl 40));
+                         ])
+                in
+                check bool (backend ^ " accepts") true (get_ok r);
+                check bool "consumed" true (get "consumed" r = Json.Int 7))
+              [ "interp"; "generated" ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -704,6 +751,6 @@ let suite =
     ("serve_slow_log", slow_log_tests);
     ("serve_metrics_http", metrics_http_tests);
     ("serve_reuse", reuse_tests);
-    ("serve_generated_reset", generated_reset_tests);
+    ("serve_memo_isolation", memo_isolation_tests);
     ("serve_server", server_tests);
   ]
