@@ -66,8 +66,15 @@ val stream :
   reader ->
   stream
 (** Open an incremental scan of [reader] against a grammar's vocabulary.
-    [buf_chars] (default 64 KiB) sizes the byte window; it grows only when
-    a single token outlives a full window. *)
+    [buf_chars] (default 64 KiB) caps the byte window, which starts small
+    (256 bytes) and doubles towards the cap while reads fill it; past the
+    cap it grows only when a single token outlives a full window.
+
+    The scan tables (byte classes, keyword and token-name tables,
+    operators by first byte, resolved token names) are built once per
+    frozen vocabulary and config and shared, through a small lock-free
+    cache, by every later stream over them; an unfrozen vocabulary gets
+    fresh tables, read at open, per stream. *)
 
 val next_chunk : ?max_tokens:int -> stream -> (Token.t array, error) result
 (** Scan up to [max_tokens] (default 256) further tokens.  [Ok [||]]

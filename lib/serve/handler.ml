@@ -79,7 +79,6 @@ type parse_result = {
 type parse_verdict =
   [ `Lex_error of Runtime.Lexer_engine.error
   | `Token_budget of int
-  | `No_generated
   | `Done of parse_result * Runtime.Profile.t * int (* lexed tokens *) ]
 
 (* What the pool hands back: the verdict plus the parse-vs-total latency
@@ -101,7 +100,8 @@ type parse_work = { verdict : parse_verdict; queue_us : int; parse_us : int }
    [tracer] is the per-request capture ring (or [null]); it sees lexer mode
    events and decision/speculation/memo events from the interpreter.
    Generated parsers have no tracer hook, so their captures carry lexer
-   events only. *)
+   events only.  [backend = Generated] requires [entry.generated]
+   ({!respond_parse} answers [no_generated_parser] before submitting). *)
 let parse_work h (entry : Registry.entry) ~(backend : Protocol.backend)
     ~(start : string option) ~(recover : bool) ~(window : int)
     ~(tracer : Obs.Trace.t) ~(submitted_us : int) (text : string) () :
@@ -143,27 +143,23 @@ let parse_work h (entry : Registry.entry) ~(backend : Protocol.backend)
             Runtime.Interp.create ~env:entry.env ~profile ~tracer
               ~recover:true entry.c ts
           in
-          Some
-            (match Runtime.Interp.run tr ?start () with
-            | Ok _ -> { ok = true; errors = []; consumed = 0 }
-            | Error es -> { ok = false; errors = es; consumed = 0 })
+          (match Runtime.Interp.run tr ?start () with
+          | Ok _ -> { ok = true; errors = []; consumed = 0 }
+          | Error es -> { ok = false; errors = es; consumed = 0 })
     | Protocol.Interp ->
         fun () ->
-          Some
-            (of_outcome
-               (Runtime.Generated.interp_outcome_stream ~env:entry.env
-                  ~profile ~tracer ?start entry.c ts))
-    | Protocol.Generated -> (
-        match entry.generated with
-        | None -> fun () -> None
-        | Some (module P) ->
-            fun () ->
-              Some (of_outcome (P.outcome_stream ~env:entry.env ~profile ts)))
+          of_outcome
+            (Runtime.Generated.interp_outcome_stream ~env:entry.env ~profile
+               ~tracer ?start entry.c ts)
+    | Protocol.Generated ->
+        let (module P) = Option.get entry.generated in
+        fun () -> of_outcome (P.outcome_stream ~env:entry.env ~profile ts)
   in
   (* A lex error or budget overrun that stopped the parse is reported by
      the drain, which picks up where the parse left off. *)
   let result =
-    try run () with Over_budget | Runtime.Lexer_engine.Lex_error _ -> None
+    try Some (run ())
+    with Over_budget | Runtime.Lexer_engine.Lex_error _ -> None
   in
   match Runtime.Lexer_engine.drain ls with
   | Error le -> finish (`Lex_error le)
@@ -172,7 +168,7 @@ let parse_work h (entry : Registry.entry) ~(backend : Protocol.backend)
       if n > h.limits.max_tokens then finish (`Token_budget n)
       else
         match result with
-        | None -> finish `No_generated
+        | None -> assert false (* only a lex error or overrun stops [run] *)
         | Some r ->
             Runtime.Profile.observe_parse_us profile (mono_us () - t_start);
             let r = if recover then { r with consumed = n } else r in
@@ -240,9 +236,11 @@ let no_generated_message gname =
   Printf.sprintf "grammar %S has no generated parser; use backend=interp" gname
 
 (* Shared request plumbing and response assembly for parse and
-   parse_stream: validation is the caller's job, everything from the
-   capture ring to the structured response is identical, so the two ops
-   answer byte-identically (modulo the echoed op name). *)
+   parse_stream: op-specific validation is the caller's job; the
+   [no_generated_parser] check, made here before anything is lexed, and
+   everything from the capture ring to the structured response are
+   shared, so the two ops answer byte-identically (modulo the echoed op
+   name). *)
 let respond_parse h (req : Protocol.request) ~(op : string)
     ~(entry : Registry.entry) ~(gname : string)
     (work :
@@ -252,106 +250,110 @@ let respond_parse h (req : Protocol.request) ~(op : string)
   let fail ?(extra = []) code message =
     Protocol.error_response ~id ~code ~message ~extra ()
   in
-  let req_id = req_id_of h req in
-  let backend = req.Protocol.backend in
-  (* Per-request capture ring: only materialized when the slow
-     log is armed, so the disabled path stays allocation-free. *)
-  let cap =
-    match h.slow_log with
-    | Some sl -> Some (Obs.Trace.Ring.create (Slow_log.max_events sl))
-    | None -> None
-  in
-  let rtr =
-    match cap with
-    | Some buf -> Obs.Trace.ring buf
-    | None -> Obs.Trace.null
-  in
-  let t0 = Obs.Trace.monotonic_now () in
-  let submitted_us = int_of_float (t0 *. 1e6) in
-  let { verdict; queue_us; parse_us } =
-    Exec.Pool.await (Exec.Pool.submit h.pool (work ~tracer:rtr ~submitted_us))
-  in
-  let finish ~(ok : bool) ~(tokens : int)
-      ~(profile : Runtime.Profile.t option) : int * float
-      (* wall_us, wall_s *) =
-    let wall = Obs.Trace.monotonic_now () -. t0 in
-    let wall_us = int_of_float (wall *. 1e6) in
-    record h ~req_id ~op ~grammar:gname ~backend ~ok ~tokens ~wall_us
-      ~queue_us ~parse_us ~profile;
-    (match (h.slow_log, cap) with
-    | Some sl, Some buf when Slow_log.should_retain sl ~wall_us ~ok ->
-        Slow_log.record sl ~req_id ~op ~grammar:gname
-          ~backend:(Protocol.backend_name backend)
-          ~ok ~wall_us ~queue_us ~parse_us buf
-    | _ -> ());
-    (wall_us, wall)
-  in
-  match verdict with
-            | `Lex_error le ->
-                let _ = finish ~ok:false ~tokens:0 ~profile:None in
-                fail "lex_error"
-                  (Fmt.str "%a" Runtime.Lexer_engine.pp_error le)
-                  ~extra:
-                    [
-                      ( "position",
-                        Obs.Json.obj
-                          [
-                            ("line", Obs.Json.int le.Runtime.Lexer_engine.line);
-                            ("col", Obs.Json.int le.Runtime.Lexer_engine.col);
-                          ] );
-                    ]
-            | `Token_budget n ->
-                let _ = finish ~ok:false ~tokens:n ~profile:None in
-                fail "token_budget"
-                  (Printf.sprintf "input lexed to %d tokens; limit is %d" n
-                     h.limits.max_tokens)
-            | `No_generated -> fail "no_generated_parser" (no_generated_message gname)
-            | `Done (r, profile, tokens) ->
-                let wall = Obs.Trace.monotonic_now () -. t0 in
-                let over_budget = wall > h.limits.time_budget_s in
-                let wall_us, _ =
-                  finish ~ok:(r.ok && not over_budget) ~tokens
-                    ~profile:(Some profile)
-                in
-                let base =
-                  [
-                    ("grammar", Obs.Json.str gname);
-                    ( "backend",
-                      Obs.Json.str (Protocol.backend_name req.Protocol.backend)
-                    );
-                    ("tokens", Obs.Json.int tokens);
-                    ("wall_us", Obs.Json.int wall_us);
-                  ]
-                in
-                if over_budget then
-                  (* Post-hoc guard: the result is withheld, the overrun
-                     is the answer (fuzz-oracle time_cap discipline). *)
-                  fail "time_budget"
-                    (Printf.sprintf
-                       "request took %.3fs; budget is %.3fs" wall
-                       h.limits.time_budget_s)
-                    ~extra:base
-                else if r.ok then
-                  Protocol.ok_response ~id ~op
-                    (base @ [ ("consumed", Obs.Json.int r.consumed) ])
-                else
-                  let sym = Llstar.Compiled.sym entry.Registry.c in
-                  let message =
-                    match r.errors with
-                    | e :: _ -> Runtime.Parse_error.to_string sym e
-                    | [] -> "parse failed"
-                  in
-                  fail "parse_error" message
+  if
+    req.Protocol.backend = Protocol.Generated
+    && Option.is_none entry.Registry.generated
+  then fail "no_generated_parser" (no_generated_message gname)
+  else
+    let req_id = req_id_of h req in
+    let backend = req.Protocol.backend in
+    (* Per-request capture ring: only materialized when the slow
+       log is armed, so the disabled path stays allocation-free. *)
+    let cap =
+      match h.slow_log with
+      | Some sl -> Some (Obs.Trace.Ring.create (Slow_log.max_events sl))
+      | None -> None
+    in
+    let rtr =
+      match cap with
+      | Some buf -> Obs.Trace.ring buf
+      | None -> Obs.Trace.null
+    in
+    let t0 = Obs.Trace.monotonic_now () in
+    let submitted_us = int_of_float (t0 *. 1e6) in
+    let { verdict; queue_us; parse_us } =
+      Exec.Pool.await (Exec.Pool.submit h.pool (work ~tracer:rtr ~submitted_us))
+    in
+    let finish ~(ok : bool) ~(tokens : int)
+        ~(profile : Runtime.Profile.t option) : int * float
+        (* wall_us, wall_s *) =
+      let wall = Obs.Trace.monotonic_now () -. t0 in
+      let wall_us = int_of_float (wall *. 1e6) in
+      record h ~req_id ~op ~grammar:gname ~backend ~ok ~tokens ~wall_us
+        ~queue_us ~parse_us ~profile;
+      (match (h.slow_log, cap) with
+      | Some sl, Some buf when Slow_log.should_retain sl ~wall_us ~ok ->
+          Slow_log.record sl ~req_id ~op ~grammar:gname
+            ~backend:(Protocol.backend_name backend)
+            ~ok ~wall_us ~queue_us ~parse_us buf
+      | _ -> ());
+      (wall_us, wall)
+    in
+    match verdict with
+              | `Lex_error le ->
+                  let _ = finish ~ok:false ~tokens:0 ~profile:None in
+                  fail "lex_error"
+                    (Fmt.str "%a" Runtime.Lexer_engine.pp_error le)
                     ~extra:
-                      (base
-                      @ [
-                          ("consumed", Obs.Json.int r.consumed);
-                          ( "errors",
-                            Obs.Json.list
-                              (List.map
-                                 (Runtime.Parse_error.to_json sym)
-                                 r.errors) );
-                        ])
+                      [
+                        ( "position",
+                          Obs.Json.obj
+                            [
+                              ("line", Obs.Json.int le.Runtime.Lexer_engine.line);
+                              ("col", Obs.Json.int le.Runtime.Lexer_engine.col);
+                            ] );
+                      ]
+              | `Token_budget n ->
+                  let _ = finish ~ok:false ~tokens:n ~profile:None in
+                  fail "token_budget"
+                    (Printf.sprintf "input lexed to %d tokens; limit is %d" n
+                       h.limits.max_tokens)
+              | `Done (r, profile, tokens) ->
+                  let wall = Obs.Trace.monotonic_now () -. t0 in
+                  let over_budget = wall > h.limits.time_budget_s in
+                  let wall_us, _ =
+                    finish ~ok:(r.ok && not over_budget) ~tokens
+                      ~profile:(Some profile)
+                  in
+                  let base =
+                    [
+                      ("grammar", Obs.Json.str gname);
+                      ( "backend",
+                        Obs.Json.str (Protocol.backend_name req.Protocol.backend)
+                      );
+                      ("tokens", Obs.Json.int tokens);
+                      ("wall_us", Obs.Json.int wall_us);
+                    ]
+                  in
+                  if over_budget then
+                    (* Post-hoc guard: the result is withheld, the overrun
+                       is the answer (fuzz-oracle time_cap discipline). *)
+                    fail "time_budget"
+                      (Printf.sprintf
+                         "request took %.3fs; budget is %.3fs" wall
+                         h.limits.time_budget_s)
+                      ~extra:base
+                  else if r.ok then
+                    Protocol.ok_response ~id ~op
+                      (base @ [ ("consumed", Obs.Json.int r.consumed) ])
+                  else
+                    let sym = Llstar.Compiled.sym entry.Registry.c in
+                    let message =
+                      match r.errors with
+                      | e :: _ -> Runtime.Parse_error.to_string sym e
+                      | [] -> "parse failed"
+                    in
+                    fail "parse_error" message
+                      ~extra:
+                        (base
+                        @ [
+                            ("consumed", Obs.Json.int r.consumed);
+                            ( "errors",
+                              Obs.Json.list
+                                (List.map
+                                   (Runtime.Parse_error.to_json sym)
+                                   r.errors) );
+                          ])
 
 (* Validation shared by parse and parse_stream: both need a loaded
    grammar and a bounded text payload. *)
@@ -406,14 +408,6 @@ let do_parse_stream h (req : Protocol.request) : Obs.Json.t =
       if req.Protocol.recover then
         fail "parse_stream is recognize-only and does not support recover"
       else if window < 1 then fail "\"window\" must be >= 1"
-      else if
-        req.Protocol.backend = Protocol.Generated
-        && Option.is_none entry.Registry.generated
-      then
-        (* answered before any lexing, unlike [parse], which reports a lex
-           error or budget overrun in the text first *)
-        Protocol.error_response ~id:req.Protocol.id ~code:"no_generated_parser"
-          ~message:(no_generated_message gname) ()
       else
         respond_parse h req ~op:"parse_stream" ~entry ~gname
           (fun ~tracer ~submitted_us ->

@@ -89,3 +89,55 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+(* Differential lexing against the reference scanner the table-driven one
+   replaced ([Lexer_engine_ref]): lexing [text] whole and in chunks of
+   [sizes] tokens (cycled) through a 64-byte window must both give the
+   reference's tokens or error and its lexer-mode trace events.  The first
+   difference, described, if any. *)
+let lex_mismatch config sym text sizes : string option =
+  let module Le = Runtime.Lexer_engine in
+  let traced lex =
+    let evs = ref [] in
+    let r = lex (Obs.Trace.make (fun _ ev -> evs := ev :: !evs)) in
+    (r, List.rev !evs)
+  in
+  let chunked tracer =
+    let ls =
+      Le.stream ~tracer ~buf_chars:64 config sym (Le.reader_of_string text)
+    in
+    let rec go acc = function
+      | [] -> go acc sizes
+      | max_tokens :: rest -> (
+          match Le.next_chunk ~max_tokens ls with
+          | Error e -> Error e
+          | Ok [||] -> Ok (Array.concat (List.rev acc))
+          | Ok c -> go (c :: acc) rest)
+    in
+    go [] sizes
+  in
+  let describe = function
+    | Ok toks, evs ->
+        Printf.sprintf "[%s], %d events"
+          (String.concat " "
+             (Array.to_list
+                (Array.map
+                   (fun (t : Runtime.Token.t) ->
+                     Printf.sprintf "%d:%S@%d:%d" t.ttype t.text t.line t.col)
+                   toks)))
+          (List.length evs)
+    | Error e, evs -> Fmt.str "%a, %d events" Le.pp_error e (List.length evs)
+  in
+  let reference =
+    traced (fun tracer -> Lexer_engine_ref.tokenize ~tracer config sym text)
+  in
+  List.find_map
+    (fun (what, lex) ->
+      let r = traced lex in
+      if r = reference then None
+      else
+        Some
+          (Printf.sprintf "%s lexing of %S: %s; reference: %s" what text
+             (describe r) (describe reference)))
+    [ ("whole", fun tracer -> Le.tokenize ~tracer config sym text);
+      ("chunked", chunked) ]

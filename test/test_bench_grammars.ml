@@ -97,6 +97,38 @@ let deterministic_dfas (spec : Workload.spec) =
           done)
         cw.Workload.c.Llstar.Compiled.results)
 
+(* The table-driven lexer reproduces the reference scanner on each
+   grammar's corpus and on byte-mutated copies and prefixes of it: whole
+   and chunked (64-byte window, 3 tokens a chunk), tokens, errors and
+   lexer-mode events alike. *)
+let lexer_vs_reference (spec : Workload.spec) =
+  test (spec.name ^ ": lexer matches the reference scanner") (fun () ->
+      let cw = cw_of spec in
+      let sym = Llstar.Compiled.sym cw.Workload.c in
+      let config = spec.lexer_config in
+      let corpus = Workload.build_corpus ~seed:7 cw ~target_tokens:1500 in
+      let rng = Random.State.make [| 14 |] in
+      let noise = "\"'/*\n@.\\-#x9 " in
+      let mutant text =
+        let n = String.length text in
+        let i = Random.State.int rng (n + 1) in
+        match Random.State.int rng 3 with
+        | 0 -> String.sub text 0 i
+        | 1 when i < n ->
+            String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+        | _ ->
+            String.sub text 0 i
+            ^ String.make 1 noise.[Random.State.int rng (String.length noise)]
+            ^ String.sub text i (n - i)
+      in
+      List.iter
+        (fun text ->
+          List.iter
+            (fun text ->
+              Option.iter Alcotest.fail (lex_mismatch config sym text [ 3 ]))
+            (text :: List.init 4 (fun _ -> mutant text)))
+        corpus.Workload.texts)
+
 let dot_export_tests =
   [
     test "DFA and ATN DOT export are well-formed" (fun () ->
@@ -131,6 +163,7 @@ let suite =
   [
     ("benchmark-grammars", List.concat_map per_grammar all_specs);
     ("dfa-wellformed", List.map deterministic_dfas all_specs);
+    ("lexer-reference", List.map lexer_vs_reference all_specs);
     ("dot-export", dot_export_tests);
     ("workload", determinism_tests);
   ]

@@ -479,4 +479,142 @@ let lex_props =
                 text e.Runtime.Lexer_engine.msg))
   ]
 
-let suite = [ ("properties", props); ("lexing-properties", lex_props) ]
+(* ------------------------------------------------------------------ *)
+(* Differential lexing: the table-driven scanner against the reference
+   scanner it replaced ([Lexer_engine_ref]), over random configurations
+   (comment openers sharing a first byte with operators, ['] as a line
+   comment beside a char token, newline tokens, [@]-identifiers,
+   case-insensitive keywords, extra identifier characters, token names
+   the vocabulary lacks) and random bytes.  Whole-string and chunked
+   lexing -- a 64-byte window, 1 to 5 tokens a chunk, so identifiers,
+   strings and comments outlive the window -- must both reproduce the
+   reference: tokens, indices, positions, the error and its position,
+   and the lexer-mode trace events. *)
+
+module Le = Runtime.Lexer_engine
+
+let diff_terms =
+  [ "ID"; "INT"; "FLOAT"; "STRING"; "CHAR"; "VAR"; "NL"; "A"; "Bee";
+    "'if'"; "'else'"; "'Select'"; "'FROM'"; "'_x'"; "'-'"; "'--'"; "'->'";
+    "'-='"; "'+'"; "'++'"; "'('"; "')'"; "'*'"; "'/'"; "'='"; "'=='";
+    "'.'"; "'@'"; "'#'"; "'$'"; "'{'"; "'}'"; "'''" ]
+
+let diff_vocab ~frozen =
+  let sym = Grammar.Sym.create () in
+  List.iter (fun n -> ignore (Grammar.Sym.intern_term sym n)) diff_terms;
+  if frozen then Grammar.Sym.freeze sym;
+  sym
+
+(* Two frozen vocabularies share the table cache across configs; an
+   unfrozen one gets fresh tables. *)
+let frozen_vocabs =
+  lazy [| diff_vocab ~frozen:true; diff_vocab ~frozen:true |]
+
+let gen_lex_config : Le.config Gen.t =
+ fun st ->
+  let pick xs = Gen.oneofl xs st in
+  let opt names = pick (None :: List.map Option.some names) in
+  let some_of xs = Gen.list_size (Gen.int_bound 2) (Gen.oneofl xs) st in
+  {
+    Le.ident_token = opt [ "ID"; "A"; "NOPE" ];
+    int_token = opt [ "INT"; "NOPE" ];
+    float_token = opt [ "FLOAT"; "NOPE" ];
+    string_token = opt [ "STRING"; "NOPE" ];
+    string_quote = pick [ '"'; '\''; '`' ];
+    char_token = opt [ "CHAR"; "NOPE" ];
+    at_ident_token = opt [ "VAR"; "NOPE" ];
+    newline_token = opt [ "NL"; "NOPE" ];
+    line_comments = some_of [ "//"; "--"; "'"; "#"; "REM"; "-" ];
+    block_comments =
+      some_of [ ("/*", "*/"); ("(*", "*)"); ("{-", "-}"); ("--[", "]") ];
+    case_insensitive_keywords = Gen.bool st;
+    extra_ident_start = pick [ ""; "_"; "_$"; "$" ];
+    extra_ident_cont = pick [ ""; "_"; "_'"; "-"; "$#" ];
+  }
+
+let lex_fragments =
+  [| "if"; "IF"; "else"; "Select"; "select"; "SELECT"; "FROM"; "from";
+     "_x"; "A"; "Bee"; "EOF"; "ID"; "abc"; "x1"; "$v"; "a-b"; "@v"; "@";
+     "12"; "3.5"; "7."; ".5"; "\"s\""; "\"a\\\"b\""; "\"open"; "'c'";
+     "'\\''"; "'"; "`q`"; "//c\n"; "--c\n"; "-- x"; "#h\n"; "REM r\n";
+     "/* b */"; "/* open"; "(* p *)"; "{- h -}"; "--[ z ]"; "-"; "--"; "->";
+     "-="; "+"; "++"; "("; ")"; "*"; "/"; "="; "=="; "."; "{"; "}"; " ";
+     "  "; "\n"; "\r\n"; "\t"; "\n\n "; "\\"; "~";
+     String.make 100 'x'; "\"" ^ String.make 90 'y' ^ "\"";
+     "/*" ^ String.make 80 '\n' ^ "*/"; "//" ^ String.make 100 'c';
+     String.make 70 '9'; String.make 150 ' '; "'" ^ String.make 70 'z' ^ "'" |]
+
+let gen_lex_text : string Gen.t =
+  Gen.map (String.concat "")
+    (Gen.list_size (Gen.int_bound 25)
+       (Gen.frequency
+          [ (4, Gen.oneofa lex_fragments); (1, Gen.map (String.make 1) Gen.char) ]))
+
+type lex_case = {
+  config : Le.config;
+  vocab : int; (* 0, 1: frozen; 2: unfrozen *)
+  text : string;
+  chunks : int list; (* chunk sizes, cycled *)
+}
+
+let show_lex_case c =
+  let o = Option.value ~default:"-" in
+  let cf = c.config in
+  Printf.sprintf
+    "vocab=%d chunks=[%s] text=%S\n\
+     ident=%s int=%s float=%s string=%s quote=%C char=%s at=%s nl=%s\n\
+     line=[%s] block=[%s] ci=%b start=%S cont=%S"
+    c.vocab
+    (String.concat ";" (List.map string_of_int c.chunks))
+    c.text (o cf.ident_token) (o cf.int_token) (o cf.float_token)
+    (o cf.string_token) cf.string_quote (o cf.char_token)
+    (o cf.at_ident_token) (o cf.newline_token)
+    (String.concat ";" cf.line_comments)
+    (String.concat ";" (List.map (fun (a, b) -> a ^ " " ^ b) cf.block_comments))
+    cf.case_insensitive_keywords cf.extra_ident_start cf.extra_ident_cont
+
+let arb_lex_case =
+  QCheck.make ~print:show_lex_case (fun st ->
+      let config = gen_lex_config st in
+      let vocab = Gen.int_bound 2 st in
+      let text = gen_lex_text st in
+      let chunks = Gen.list_size (Gen.int_range 1 4) (Gen.int_range 1 5) st in
+      { config; vocab; text; chunks })
+
+(* One chunk, then [drain]: the reference's verdict and token total. *)
+let drained config sym text max_tokens =
+  let ls = Le.stream config sym (Le.reader_of_string text) in
+  match Le.next_chunk ~max_tokens ls with
+  | Error e -> Error e
+  | Ok first -> (
+      match Le.drain ls with
+      | Error e -> Error e
+      | Ok n -> Ok (Array.length first + n, Le.produced ls))
+
+let differential_lex_props =
+  [
+    qtest ~count:500 "table-driven lexer == reference scanner" arb_lex_case
+      (fun c ->
+        let sym =
+          if c.vocab < 2 then (Lazy.force frozen_vocabs).(c.vocab)
+          else diff_vocab ~frozen:false
+        in
+        match lex_mismatch c.config sym c.text c.chunks with
+        | Some diff -> QCheck.Test.fail_report diff
+        | None -> (
+            match
+              ( drained c.config sym c.text (List.hd c.chunks),
+                Lexer_engine_ref.tokenize c.config sym c.text )
+            with
+            | Ok (n, produced), Ok toks
+              when n = Array.length toks && produced = n ->
+                true
+            | Error a, Error b when a = b -> true
+            | _ -> QCheck.Test.fail_report "drain disagrees with the reference"));
+  ]
+
+let suite =
+  [
+    ("properties", props);
+    ("lexing-properties", lex_props @ differential_lex_props);
+  ]

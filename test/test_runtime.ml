@@ -186,6 +186,20 @@ let streaming_tests =
 (* ------------------------------------------------------------------ *)
 (* Lexer engine *)
 
+(* Words [f] allocates: [Gc.minor_words] for the minor heap plus the
+   major-heap count of [Gc.counters] for large blocks allocated there
+   directly ([Gc.allocated_bytes] undercounts the minor heap on OCaml
+   5.1).  Emptying the minor heap first keeps a collection (and its
+   promotions) out of the measurement for small [f]. *)
+let allocated_words f =
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0))
+
 let lex_engine_tests =
   let sym_of src = Llstar.Compiled.sym (compile src) in
   [
@@ -261,6 +275,46 @@ let lex_engine_tests =
         with
         | Error e -> check int "column" 3 e.Runtime.Lexer_engine.col
         | Ok _ -> Alcotest.fail "expected lex error");
+    (* Allocation bounds, from the GC's own counters (deterministic for a
+       given input).  The first stream over a vocabulary builds its scan
+       tables; the measured one reuses them. *)
+    test "opening a stream over a small input allocates under 2 KiB"
+      (fun () ->
+        let sym = sym_of "grammar T; s : (ID | INT | ';')* ;" in
+        let config = Runtime.Lexer_engine.default_config in
+        let text =
+          String.concat ""
+            (List.init 20 (fun i -> Printf.sprintf "x%d ; " (i mod 10)))
+        in
+        check int "100-byte input" 100 (String.length text);
+        let open_stream () =
+          Runtime.Lexer_engine.stream config sym
+            (Runtime.Lexer_engine.reader_of_string text)
+        in
+        ignore (Sys.opaque_identity (open_stream ()));
+        let _, words = allocated_words open_stream in
+        let bytes = words *. float (Sys.word_size / 8) in
+        if bytes >= 2048. then
+          Alcotest.failf "opening the stream allocated %.0f bytes" bytes);
+    test "whitespace and identifiers cost O(1) words per token" (fun () ->
+        let sym = sym_of "grammar T; s : ID* ;" in
+        let config = Runtime.Lexer_engine.default_config in
+        let n = 3000 in
+        let text =
+          String.concat ""
+            (List.init n (fun i -> Printf.sprintf "w%04d \t\n  " i))
+        in
+        ignore (Runtime.Lexer_engine.tokenize_exn config sym "warm");
+        let toks, words =
+          allocated_words (fun () ->
+              Runtime.Lexer_engine.tokenize_exn config sym text)
+        in
+        check int "tokens" n (Array.length toks);
+        (* a [Token.t] is 6 words; its 5-byte text 2 *)
+        let per_token = (words /. float n) -. 8. in
+        if per_token > 8. then
+          Alcotest.failf "%.1f words per token beyond the token and its text"
+            per_token);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -216,6 +216,30 @@ let handler_tests =
             | Ok j -> check bool "ok" true (get_ok j)
             | Error e -> Alcotest.fail e);
             check bool "shutdown action" true (action = `Shutdown)));
+    test "no generated parser: both ops answer it before lexing" (fun () ->
+        let limits =
+          { Serve.Handler.default_limits with Serve.Handler.max_tokens = 1 }
+        in
+        with_handler ~limits (fun h ->
+            List.iter
+              (fun text ->
+                List.iter
+                  (fun op ->
+                    let r =
+                      handle_ok h
+                        (req
+                           [
+                             ("op", Json.str op);
+                             ("grammar", Json.str "tiny");
+                             ("backend", Json.str "generated");
+                             ("text", Json.str text);
+                           ])
+                    in
+                    check string
+                      (Printf.sprintf "%s on %S" op text)
+                      "no_generated_parser" (error_code r))
+                  [ "parse"; "parse_stream" ])
+              [ "A ~"; "A B C" ]));
   ]
 
 (* ------------------------------------------------------------------ *)
